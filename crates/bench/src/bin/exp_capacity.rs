@@ -1,7 +1,7 @@
 //! E19 — open-loop capacity sweep: find the real throughput ceiling.
 //!
-//! The event-driven net server (DESIGN.md §15) claims its reactor +
-//! worker-pool drain path is no longer the bottleneck — the modeled
+//! The event-driven net server (DESIGN.md §15) claims its
+//! run-to-completion reactor is no longer the bottleneck — the modeled
 //! metadata device is. This experiment proves it the only honest way:
 //! offered load is swept *open-loop* (arrivals on a fixed schedule,
 //! zipf-popular keys, no retransmission, thousands of concurrent net
@@ -12,7 +12,7 @@
 //! shard servers cannot scale on raw compute — and a metadata server's
 //! real constraint is its metadata device, not cycles. Each server
 //! therefore sleeps `SERVICE` per metadata transaction (KeepAlive
-//! excluded) while holding its state lock: shard capacity ≈ 1/SERVICE
+//! excluded) on its reactor thread: shard capacity ≈ 1/SERVICE
 //! req/s. Sleeps overlap across shard processes exactly as independent
 //! devices do, so the sweep honestly answers "does sharding raise the
 //! ceiling?" — on one core or thirty-two. EXPERIMENTS.md §E19 discusses
@@ -102,7 +102,6 @@ fn server_cfg() -> NetServerConfig {
     // so lease traffic never competes with the offered load.
     cfg.lease = LeaseConfig::with_tau(LocalNs::from_secs(120));
     cfg.service = SERVICE;
-    cfg.workers = 2;
     // Ask for a deep kernel backlog; rmem_max may clamp it, and the
     // open-loop protocol treats any overflow as wire loss.
     cfg.recv_buf = Some(8 << 20);

@@ -10,8 +10,9 @@
 //! * [`LeaseServer`] — a metadata/lock/lease server on a UDP socket
 //!   (`tankd` is its binary form), event-driven: a readiness reactor
 //!   ([`poll`] + [`reactor`]) batch-drains every ready datagram per
-//!   wakeup and feeds a fixed worker pool, with all protocol timers
-//!   multiplexed into the poll timeout (DESIGN.md §15). No SAN exists
+//!   wakeup and runs each request to completion on that same thread,
+//!   with all protocol timers multiplexed into the poll timeout and
+//!   fired between requests (DESIGN.md §15). No SAN exists
 //!   here, so the data path is metadata + locks only and fencing is
 //!   recorded rather than enforced; everything lease-related is the real
 //!   protocol: opportunistic renewal, NACKs for suspect clients,

@@ -1,27 +1,23 @@
 //! Building blocks of the event-driven server: a deadline heap that
-//! multiplexes every timer into the poll timeout, a batch-drain of ready
-//! datagrams with reusable scratch, and a fixed worker pool.
+//! multiplexes every timer into the poll timeout, and a batch-drain of
+//! ready datagrams with reusable scratch.
 //!
-//! The server composes them as one readiness loop (DESIGN.md §15): the
-//! reactor thread waits on the socket with `timeout = next timer
-//! deadline`, drains *every* ready datagram into an arena per wakeup,
-//! and hands the batch to a worker; workers decode off the shared lock,
-//! execute against the protocol state under it, and reply outside it
-//! again. Timers — push retries, release waits, lease expiries, steal
-//! grace, recovery — fire on the reactor thread between wakeups, so no
-//! path ever sleeps per event.
+//! The server composes them as one run-to-completion loop (DESIGN.md
+//! §15): the reactor thread waits on the socket with `timeout = next
+//! timer deadline`, drains *every* ready datagram into an arena per
+//! wakeup, decodes it, and executes the requests one by one against the
+//! protocol state it owns. Timers — push retries, release waits, lease
+//! expiries, steal grace, recovery — fire on the same thread between
+//! requests and between wakeups, so no path ever sleeps per event.
 
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use tank_proto::{CtlMsg, NetMsg, Request, WireDecode, MAX_DATAGRAM};
 
 use crate::fault::FaultySocket;
-use crate::locked;
 
 // ------------------------------------------------------------- timers
 
@@ -204,123 +200,10 @@ pub fn recv_scratch() -> Vec<u8> {
     vec![0u8; MAX_DATAGRAM]
 }
 
-// -------------------------------------------------------------- pool
-
-struct PoolShared {
-    queue: Mutex<VecDeque<WakeupBatch>>,
-    cv: Condvar,
-    stop: AtomicBool,
-    /// Spent batches returned for arena reuse.
-    spares: Mutex<Vec<WakeupBatch>>,
-}
-
-/// How many spent batches the pool keeps for reuse. Beyond this the
-/// allocator takes them back; under steady load the free list never
-/// empties, so the drain path stops allocating after warm-up.
-const MAX_SPARES: usize = 32;
-
-/// A fixed pool of worker threads consuming [`WakeupBatch`]es. Each
-/// worker runs its own handler instance (built by the factory passed to
-/// [`spawn`](Self::spawn)) so handlers can keep per-thread scratch
-/// without locking.
-pub struct WorkerPool {
-    shared: Arc<PoolShared>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl WorkerPool {
-    /// Start `workers` threads. `factory` is called once per worker to
-    /// build its handler (it receives the pool's recycler so the handler
-    /// can return spent batches); the handler is invoked once per batch.
-    pub fn spawn<F, H>(workers: usize, factory: F) -> WorkerPool
-    where
-        F: Fn(PoolRecycler) -> H,
-        H: FnMut(WakeupBatch) + Send + 'static,
-    {
-        let shared = Arc::new(PoolShared {
-            queue: Mutex::new(VecDeque::new()),
-            cv: Condvar::new(),
-            stop: AtomicBool::new(false),
-            spares: Mutex::new(Vec::new()),
-        });
-        let mut handles = Vec::with_capacity(workers.max(1));
-        for _ in 0..workers.max(1) {
-            let sh = shared.clone();
-            let mut handler = factory(PoolRecycler(shared.clone()));
-            handles.push(std::thread::spawn(move || loop {
-                let mut q = locked(&sh.queue);
-                let batch = loop {
-                    if let Some(b) = q.pop_front() {
-                        break b;
-                    }
-                    if sh.stop.load(Ordering::Acquire) {
-                        return;
-                    }
-                    q = sh
-                        .cv
-                        .wait(q)
-                        .unwrap_or_else(|poisoned| poisoned.into_inner());
-                };
-                drop(q);
-                handler(batch);
-            }));
-        }
-        WorkerPool { shared, handles }
-    }
-
-    /// Queue a batch for the next free worker; returns the queue depth
-    /// right after the push (the reactor's backpressure signal).
-    pub fn submit(&self, batch: WakeupBatch) -> usize {
-        let depth = {
-            let mut q = locked(&self.shared.queue);
-            q.push_back(batch);
-            q.len()
-        };
-        self.shared.cv.notify_one();
-        depth
-    }
-
-    /// Take a spent batch for reuse, if one is available.
-    pub fn take_spare(&self) -> WakeupBatch {
-        locked(&self.shared.spares).pop().unwrap_or_default()
-    }
-
-    /// Return a spent batch to the free list. Handlers should call this
-    /// once they are done with a batch's bytes.
-    pub fn recycle(shared: &PoolRecycler, mut batch: WakeupBatch) {
-        batch.clear();
-        let mut spares = locked(&shared.0.spares);
-        if spares.len() < MAX_SPARES {
-            spares.push(batch);
-        }
-    }
-
-    /// A handle handlers keep for [`recycle`](Self::recycle).
-    pub fn recycler(&self) -> PoolRecycler {
-        PoolRecycler(self.shared.clone())
-    }
-
-    /// Stop accepting work, finish the queue, and join every worker.
-    /// Queued batches are still processed: stop is checked only when the
-    /// queue is empty.
-    pub fn shutdown(self) {
-        self.shared.stop.store(true, Ordering::Release);
-        self.shared.cv.notify_all();
-        for h in self.handles {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Shared free-list handle for returning spent batches from handlers.
-#[derive(Clone)]
-pub struct PoolRecycler(Arc<PoolShared>);
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::FaultConfig;
-    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn timer_queue_fires_in_deadline_order_with_stable_ties() {
@@ -382,25 +265,5 @@ mod tests {
         let mut scratch = recv_scratch();
         assert_eq!(drain_ready(&rx, &mut scratch, &mut batch, 5), 5);
         assert_eq!(drain_ready(&rx, &mut scratch, &mut batch, 5), 3);
-    }
-
-    #[test]
-    fn worker_pool_processes_everything_and_shutdown_joins_clean() {
-        let counter = Arc::new(AtomicUsize::new(0));
-        let pool = WorkerPool::spawn(4, |_recycler| {
-            let c = counter.clone();
-            move |b: WakeupBatch| {
-                c.fetch_add(b.len(), Ordering::SeqCst);
-            }
-        });
-        for _ in 0..50 {
-            let mut b = WakeupBatch::new();
-            b.arena.extend_from_slice(b"abc");
-            b.frames.push((0, 3, "127.0.0.1:1".parse().expect("addr")));
-            pool.submit(b);
-        }
-        // Shutdown drains the queue before joining.
-        pool.shutdown();
-        assert_eq!(counter.load(Ordering::SeqCst), 50);
     }
 }

@@ -4,13 +4,20 @@
 //! These use short leases (τ = 600ms) so lease expiry is observable in
 //! test time; they are wall-clock tests and tolerate scheduling slop.
 
+use std::collections::HashMap;
+use std::net::UdpSocket;
 use std::time::{Duration, Instant};
 
+use bytes::Bytes;
 use tank_core::{LeaseConfig, Phase};
 use tank_net::client::NetClientError;
 use tank_net::server::{LeaseServer, NetServerConfig};
 use tank_net::{DirFaults, FaultConfig, TankClient};
-use tank_proto::LockMode;
+use tank_proto::message::{ReplyBody, RequestBody, ResponseOutcome};
+use tank_proto::{
+    CtlMsg, Ino, LockMode, NackReason, NetMsg, NodeId, ReqSeq, Request, SessionId, WireDecode,
+    WireEncode,
+};
 use tank_sim::LocalNs;
 
 fn short_lease() -> LeaseConfig {
@@ -197,6 +204,120 @@ fn restarted_server_enforces_the_grace_window_then_serves() {
         stats.recovery_nacks >= 1,
         "the mutation was refused during grace"
     );
+}
+
+/// Send one raw request datagram from `sock` to `server`.
+fn send_raw(sock: &UdpSocket, server: &str, session: SessionId, seq: u64, body: RequestBody) {
+    let req = Request {
+        src: NodeId(0),
+        session,
+        seq: ReqSeq(seq),
+        body,
+    };
+    sock.send_to(&NetMsg::Ctl(CtlMsg::Request(req)).encoded(), server)
+        .unwrap();
+}
+
+/// Receive responses on `sock` until `want` distinct sequence numbers
+/// have answered or the socket's read timeout passes.
+fn recv_outcomes(sock: &UdpSocket, want: usize) -> HashMap<u64, ResponseOutcome> {
+    let mut buf = vec![0u8; tank_proto::MAX_DATAGRAM];
+    let mut out = HashMap::new();
+    while out.len() < want {
+        let Ok((n, _)) = sock.recv_from(&mut buf) else {
+            break;
+        };
+        let mut b = Bytes::copy_from_slice(&buf[..n]);
+        if let Ok(NetMsg::Ctl(CtlMsg::Response(resp))) = NetMsg::decode(&mut b) {
+            out.insert(resp.seq.0, resp.outcome);
+        }
+    }
+    out
+}
+
+#[test]
+fn recovery_window_closes_between_requests_of_one_batch() {
+    // Grace window τ(1+ε) ≈ 202ms; every GetAttr/SetAttr the server
+    // executes costs 5ms of modeled service time on its one thread.
+    let mut lease = LeaseConfig::with_tau(LocalNs::from_millis(200));
+    lease.epsilon = 0.01;
+    let cfg = NetServerConfig {
+        lease,
+        recover: true,
+        service: Duration::from_millis(5),
+        recv_buf: Some(1 << 20),
+        ..server_cfg()
+    };
+    let server = LeaseServer::spawn("127.0.0.1:0", cfg).unwrap();
+    let addr = server.addr.to_string();
+    let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
+    sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+
+    // Hello is served inside the grace window.
+    send_raw(
+        &sock,
+        &addr,
+        SessionId(0),
+        1,
+        RequestBody::Hello { map_epoch: 0 },
+    );
+    let Some(ResponseOutcome::Acked(Ok(ReplyBody::HelloOk { session, .. }))) =
+        recv_outcomes(&sock, 1).remove(&1)
+    else {
+        panic!("no HelloOk during the grace window");
+    };
+
+    // A plug first: one vectored request of 10 GetAttrs keeps the
+    // reactor busy for ≈50ms, so the burst sent right behind it lands in
+    // the kernel backlog and is drained as one batch. The burst, far
+    // inside the window: a SetAttr, then 80 GetAttrs (≈400ms of
+    // execution, well past the window's end), then 10 more SetAttrs.
+    let root = Ino(1);
+    let getattr = RequestBody::GetAttr { ino: root };
+    let setattr = RequestBody::SetAttr {
+        ino: root,
+        size: None,
+    };
+    let (plug, head, reads, tail) = (2u64, 3u64, 80u64, 10u64);
+    send_raw(
+        &sock,
+        &addr,
+        session,
+        plug,
+        RequestBody::Batch(vec![getattr.clone(); 10]),
+    );
+    send_raw(&sock, &addr, session, head, setattr.clone());
+    for seq in head + 1..=head + reads {
+        send_raw(&sock, &addr, session, seq, getattr.clone());
+    }
+    let tail_seqs = head + reads + 1..=head + reads + tail;
+    for seq in tail_seqs.clone() {
+        send_raw(&sock, &addr, session, seq, setattr.clone());
+    }
+    let outcomes = recv_outcomes(&sock, (2 + reads + tail) as usize);
+    let stats = server.stop();
+
+    assert!(
+        matches!(
+            outcomes.get(&head),
+            Some(ResponseOutcome::Nacked(NackReason::Recovering))
+        ),
+        "the head SetAttr ran inside the window: {:?}",
+        outcomes.get(&head)
+    );
+    // RecoveryDone came due while the GetAttrs executed; it must fire
+    // between two requests of the batch, not after the whole batch.
+    for seq in tail_seqs {
+        assert!(
+            matches!(
+                outcomes.get(&seq),
+                Some(ResponseOutcome::Acked(Ok(ReplyBody::Attr { .. })))
+            ),
+            "SetAttr {seq} executed after the window closed must be served: {:?}",
+            outcomes.get(&seq)
+        );
+    }
+    assert_eq!(stats.recovery_nacks, 1);
 }
 
 #[test]

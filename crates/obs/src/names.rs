@@ -453,12 +453,16 @@ pub const NET_REACTOR_DATAGRAMS_PER_WAKEUP: MetricDef = histogram(
     BATCH_SIZE_BOUNDS,
     "datagrams drained per reactor wakeup",
 );
-/// Worker-pool queue depth observed after each batch submission.
+/// Retired: the worker-pool queue depth, recorded while the server
+/// handed batches to a worker pool. The run-to-completion reactor has no
+/// queue, so nothing records it; the name stays declared because the
+/// benchmark's traced report still reads it (as 0).
+// tank-lint: allow(L5) retired on purpose: no emitter exists, and the benchmark crate (outside this workspace) still names it
 pub const NET_REACTOR_WORKER_QUEUE_DEPTH: MetricDef = histogram(
     "net.reactor.worker_queue_depth",
     "batches",
     SMALL_COUNT_BOUNDS,
-    "worker-pool queue depth after each batch submission",
+    "retired, never recorded: worker-pool queue depth (no pool exists)",
 );
 
 // -------------------------------------------------------------- bench
